@@ -2,13 +2,16 @@
 // MACs and output shapes, plus the runtime memory footprint in dense and
 // CSR formats on demand. With -probe it also serves one inference
 // through the batched serving path via the transport-agnostic client
-// API and reports the end-to-end result.
+// API and reports the end-to-end result. With -profile it instead
+// compiles the model's inference plan and times every plan step over
+// repeated runs: the per-layer breakdown of observed execution time.
 //
 // Usage:
 //
 //	dlis-inspect -model vgg16
 //	dlis-inspect -model mobilenet -sparsity 0.2346
 //	dlis-inspect -model mini-vgg -probe
+//	dlis-inspect -profile -model mini-vgg -technique channel-pruning -batch 8 -runs 20
 package main
 
 import (
@@ -27,7 +30,19 @@ func main() {
 	sparsity := flag.Float64("sparsity", 0, "weight-prune to this sparsity before inspecting")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	probe := flag.Bool("probe", false, "serve one inference through the batched serving path and report it")
+	prof := flag.Bool("profile", false, "time every compiled plan step and print the per-layer profile")
+	technique := flag.String("technique", "plain", "with -profile: plain, weight-pruning, channel-pruning or quantisation (mini models take their full-size model's Table III point)")
+	batch := flag.Int("batch", 1, "with -profile: batch size the plan is compiled for")
+	runs := flag.Int("runs", 20, "with -profile: timed runs per step")
 	flag.Parse()
+
+	if *prof {
+		if err := profile(os.Stdout, *model, *technique, *batch, *runs, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, "dlis-inspect:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	net, err := dlis.BuildModel(*model, *seed)
 	if err != nil {

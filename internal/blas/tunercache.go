@@ -27,8 +27,12 @@ type TunerCache struct {
 }
 
 // tunerCacheVersion is bumped whenever the entry key schema or file
-// layout changes; old files are discarded, not migrated.
-const tunerCacheVersion = 1
+// layout changes, or a candidate kernel's speed changes enough to flip
+// verdicts; old files are discarded, not migrated. Version 2: the
+// register-blocked direct convolution made the Direct candidate about
+// twice as fast, so verdicts timed against the one-channel-per-job
+// kernel are stale.
+const tunerCacheVersion = 2
 
 const tunerCacheFileName = "algotuner.json"
 

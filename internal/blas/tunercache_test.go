@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,7 +93,9 @@ func TestTunerCacheForeignProvenanceDiscarded(t *testing.T) {
 		name string
 		edit func(s string) string
 	}{
-		{"version", func(s string) string { return strings.Replace(s, `"version": 1`, `"version": 999`, 1) }},
+		{"version", func(s string) string {
+			return strings.Replace(s, fmt.Sprintf(`"version": %d`, tunerCacheVersion), `"version": 999`, 1)
+		}},
 		{"host", func(s string) string { return strings.Replace(s, `"host": "`, `"host": "elsewhere-`, 1) }},
 		{"gomaxprocs", func(s string) string { return strings.Replace(s, `"gomaxprocs": `, `"gomaxprocs": 9`, 1) }},
 	} {

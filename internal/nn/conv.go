@@ -12,7 +12,7 @@ import (
 // Conv2D is a (possibly grouped) 2-D convolution layer. It owns three
 // execution paths selected by Context.Algo:
 //
-//   - Direct: dense nested loops, parallelised over output channels —
+//   - Direct: dense nested loops, parallelised over output-channel blocks —
 //     the paper's OpenMP implementation ("the outer for loop of the
 //     convolutional layers is parallelised using dynamic scheduling").
 //   - Im2colGEMM: lowering to matrix multiplication, the CLBlast path.
@@ -164,21 +164,42 @@ func (c *Conv2D) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 }
 
 // forwardDirect is the dense nested-loop kernel, parallelised over the
-// outer (output-channel) loop exactly as the paper's OpenMP version.
+// outer (image, group, channel-block) loop like the paper's OpenMP
+// version.
 func (c *Conv2D) forwardDirect(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
 	n, _, h, w := in.Shape()[0], in.Shape()[1], in.Shape()[2], in.Shape()[3]
 	padded := tensor.Pad2D(in, g.Pad)
 	oh, ow := g.OutSize(h, w)
 	out := tensor.New(n, g.OutC, oh, ow)
-	parallel.For(n*g.OutC, ctx.Threads, ctx.Sched, c.directBody(padded, out))
+	parallel.For(c.directJobs(n), ctx.Threads, ctx.Sched, c.directBody(padded, out))
 	return out
 }
 
-// directBody builds the per-(image, output-channel) kernel body of the
-// direct algorithm over a pre-padded input. It closes over the buffers'
-// backing slices, so the plan path builds it once at compile time and
-// replays it allocation-free.
+// directBlock is how many output channels one direct-kernel job
+// computes: every input row loaded for a filter tap feeds this many
+// accumulating output rows.
+const directBlock = 4
+
+// directBlocks is the number of channel blocks per group.
+func (c *Conv2D) directBlocks() int {
+	opg := c.Geom.OutC / c.Geom.Groups
+	return (opg + directBlock - 1) / directBlock
+}
+
+// directJobs is the parallel-loop trip count of directBody for a batch
+// of n images: one job per (image, group, channel block).
+func (c *Conv2D) directJobs(n int) int { return n * c.Geom.Groups * c.directBlocks() }
+
+// directBody builds the per-(image, group, channel-block) kernel body
+// of the direct algorithm over a pre-padded input. Each job computes up
+// to directBlock output channels of one group; the last block of a
+// group is partial when the group's channel count is not a multiple of
+// directBlock. Every output element still accumulates bias, then its
+// taps in icl → ky → kx order, so results are bit-identical to a
+// one-channel-per-job loop. It closes over the buffers' backing
+// slices, so the plan path builds it once at compile time and replays
+// it allocation-free.
 func (c *Conv2D) directBody(padded, out *tensor.Tensor) func(job int) {
 	g := c.Geom
 	ph, pw := padded.Shape()[2], padded.Shape()[3]
@@ -187,14 +208,30 @@ func (c *Conv2D) directBody(padded, out *tensor.Tensor) func(job int) {
 	opg := g.OutC / g.Groups
 	wd, pd, od, bias := c.W.W.Data(), padded.Data(), out.Data(), c.B.W.Data()
 	kArea := g.KH * g.KW
+	plane := oh * ow
+	bpg := c.directBlocks()
+	stride := g.Stride
 
+	//dlis:noalloc
 	return func(job int) {
-		ni, oc := job/g.OutC, job%g.OutC
-		group := oc / opg
-		dst := od[(ni*g.OutC+oc)*oh*ow : (ni*g.OutC+oc+1)*oh*ow]
-		b := bias[oc]
-		for i := range dst {
-			dst[i] = b
+		ni, rest := job/(g.Groups*bpg), job%(g.Groups*bpg)
+		group, blk := rest/bpg, rest%bpg
+		oc := group*opg + blk*directBlock
+		nb := min(directBlock, (group+1)*opg-oc)
+		dst := od[(ni*g.OutC+oc)*plane : (ni*g.OutC+oc+nb)*plane]
+		for r := 0; r < nb; r++ {
+			b := bias[oc+r]
+			row := dst[r*plane : (r+1)*plane]
+			for i := range row {
+				row[i] = b
+			}
+		}
+		// Rows past nb alias the block's first channel; the nb switch
+		// below never touches them.
+		var dOff, wOff [directBlock]int
+		for r := 1; r < nb; r++ {
+			dOff[r] = r * plane
+			wOff[r] = r * cpg * kArea
 		}
 		wBase := oc * cpg * kArea
 		inBase := ni * g.InC * ph * pw
@@ -206,17 +243,67 @@ func (c *Conv2D) directBody(padded, out *tensor.Tensor) func(job int) {
 					// Note: zero weights are NOT skipped. A real dense
 					// kernel is branch-free, which is exactly why pruned
 					// networks executed densely see no speedup (Fig. 1).
-					v := wd[wBase+(icl*g.KH+ky)*g.KW+kx]
+					t := wBase + (icl*g.KH+ky)*g.KW + kx
+					w0, w1, w2, w3 := wd[t+wOff[0]], wd[t+wOff[1]], wd[t+wOff[2]], wd[t+wOff[3]]
 					for y := 0; y < oh; y++ {
-						srcRow := src[(y*g.Stride+ky)*pw+kx:]
-						dstRow := dst[y*ow : (y+1)*ow]
-						if g.Stride == 1 {
-							for x := range dstRow {
-								dstRow[x] += v * srcRow[x]
+						s := src[(y*stride+ky)*pw+kx:]
+						d0 := dst[dOff[0]+y*ow:][:ow]
+						d1 := dst[dOff[1]+y*ow:][:ow]
+						d2 := dst[dOff[2]+y*ow:][:ow]
+						d3 := dst[dOff[3]+y*ow:][:ow]
+						if stride == 1 {
+							s := s[:ow]
+							switch nb {
+							case 4:
+								for x, v := range s {
+									d0[x] += w0 * v
+									d1[x] += w1 * v
+									d2[x] += w2 * v
+									d3[x] += w3 * v
+								}
+							case 3:
+								for x, v := range s {
+									d0[x] += w0 * v
+									d1[x] += w1 * v
+									d2[x] += w2 * v
+								}
+							case 2:
+								for x, v := range s {
+									d0[x] += w0 * v
+									d1[x] += w1 * v
+								}
+							default:
+								for x, v := range s {
+									d0[x] += w0 * v
+								}
 							}
-						} else {
-							for x := range dstRow {
-								dstRow[x] += v * srcRow[x*g.Stride]
+							continue
+						}
+						switch nb {
+						case 4:
+							for x := range d0 {
+								v := s[x*stride]
+								d0[x] += w0 * v
+								d1[x] += w1 * v
+								d2[x] += w2 * v
+								d3[x] += w3 * v
+							}
+						case 3:
+							for x := range d0 {
+								v := s[x*stride]
+								d0[x] += w0 * v
+								d1[x] += w1 * v
+								d2[x] += w2 * v
+							}
+						case 2:
+							for x := range d0 {
+								v := s[x*stride]
+								d0[x] += w0 * v
+								d1[x] += w1 * v
+							}
+						default:
+							for x := range d0 {
+								d0[x] += w0 * s[x*stride]
 							}
 						}
 					}
@@ -337,7 +424,7 @@ func (c *Conv2D) planDirect(pc *PlanCompiler, in, out *tensor.Tensor) func() {
 	g := c.Geom
 	src, padScratch := c.padPlan(pc, in)
 	body := c.directBody(src, out)
-	jobs := in.Shape()[0] * g.OutC
+	jobs := c.directJobs(in.Shape()[0])
 	threads, sched := pc.ctx.Threads, pc.ctx.Sched
 	//dlis:noalloc
 	return func() {

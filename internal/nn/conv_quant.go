@@ -31,6 +31,7 @@ func (c *Conv2D) quantDirectBody(qw *blas.QMatrix, padded, out *tensor.Tensor) f
 	pd, od, bias := padded.Data(), out.Data(), c.B.W.Data()
 	kArea := g.KH * g.KW
 
+	//dlis:noalloc
 	return func(job int) {
 		ni, oc := job/g.OutC, job%g.OutC
 		group := oc / opg
@@ -82,6 +83,7 @@ func (c *Conv2D) f16DirectBody(wf *blas.F16Matrix, padded, out *tensor.Tensor) f
 	pd, od, bias := padded.Data(), out.Data(), c.B.W.Data()
 	kArea := g.KH * g.KW
 
+	//dlis:noalloc
 	return func(job int) {
 		ni, oc := job/g.OutC, job%g.OutC
 		group := oc / opg

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/blas"
 	"repro/internal/tensor"
@@ -177,6 +178,27 @@ func (p *Plan) Run() *tensor.Tensor {
 	return p.output
 }
 
+// RunProfiled is Run with a per-step clock: it executes the plan over
+// the current contents of Input and writes step i's elapsed monotonic
+// nanoseconds into ns[i], in StepNames order. ns must hold at least
+// Steps() entries; the caller owns it, so profiling a plan repeatedly
+// allocates nothing.
+//
+//dlis:noalloc
+func (p *Plan) RunProfiled(ns []int64) *tensor.Tensor {
+	if len(ns) < len(p.steps) {
+		panic(fmt.Sprintf("nn: RunProfiled needs %d step slots, got %d", len(p.steps), len(ns)))
+	}
+	prev := time.Now()
+	for i := range p.steps {
+		p.steps[i].run()
+		now := time.Now()
+		ns[i] = int64(now.Sub(prev))
+		prev = now
+	}
+	return p.output
+}
+
 // Execute copies in into the plan's input buffer and runs. The input
 // must have exactly the compiled element count (its shape may be the
 // C×H×W per-image form or the batched N×C×H×W form).
@@ -196,6 +218,16 @@ func (p *Plan) Bytes() int { return p.arena.Bytes() }
 // Steps returns the number of executable steps (composite layers count
 // once).
 func (p *Plan) Steps() int { return len(p.steps) }
+
+// StepNames returns the layer name of each executable step, in
+// execution order — the index space of RunProfiled's timings.
+func (p *Plan) StepNames() []string {
+	names := make([]string, len(p.steps))
+	for i, st := range p.steps {
+		names[i] = st.name
+	}
+	return names
+}
 
 // Algos lists the algorithm compiled for each convolution layer in
 // execution order — under Auto, the per-layer winners.

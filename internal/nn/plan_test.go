@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sparse"
@@ -228,6 +229,45 @@ func TestPlanAccounting(t *testing.T) {
 	if p.Steps() != 10-1 { // one layer (Flatten) compiles to a view, not a step
 		t.Fatalf("plan has %d steps, want 9", p.Steps())
 	}
+}
+
+// TestPlanRunProfiled: the profiled run computes exactly what Run
+// computes, names every step, times every step, and allocates nothing.
+func TestPlanRunProfiled(t *testing.T) {
+	net := planTestNet(tensor.NewRNG(118))
+	p := planFor(t, net, Direct, 2)
+	in := randInput(tensor.NewRNG(119), 2, 3, 8, 8)
+	want := p.Execute(in).Clone()
+
+	names := p.StepNames()
+	wantNames := []string{"c1", "bn1", "r1", "dw", "pw", "res", "mp", "gap", "fc"}
+	if fmt.Sprint(names) != fmt.Sprint(wantNames) {
+		t.Fatalf("StepNames = %v, want %v", names, wantNames)
+	}
+	ns := make([]int64, p.Steps())
+	p.Input().CopyFrom(in) // activations ping-pong through the input slab
+	if d := tensor.MaxAbsDiff(p.RunProfiled(ns), want); d != 0 {
+		t.Fatalf("profiled run differs from Run by %v", d)
+	}
+	var total int64
+	for i, v := range ns {
+		if v < 0 {
+			t.Fatalf("step %s timed %d ns", names[i], v)
+		}
+		total += v
+	}
+	if total <= 0 {
+		t.Fatal("profiled run recorded no time")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.RunProfiled(ns) }); allocs != 0 {
+		t.Fatalf("RunProfiled performed %v allocations, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunProfiled accepted a short timing slice")
+		}
+	}()
+	p.RunProfiled(ns[:1])
 }
 
 // TestPlanSharedBlockScratch: consecutive residual blocks reuse one

@@ -372,7 +372,7 @@ func runCluster(rcfg *dlis.FleetConfig, gen loadGen) {
 		// the mux transport, http:// pins HTTP, bare addresses probe.
 		members = append(members, dlis.ClusterMember{Name: a, Client: dlis.DialBackend(a)})
 	}
-	cl, err := dlis.NewClusterWithConfig(rcfg.ClusterConfig(), members...)
+	cl, err := dlis.NewCluster(members, dlis.WithProbeInterval(time.Duration(rcfg.Cluster.ProbeInterval)))
 	if err != nil {
 		fatal(err)
 	}

@@ -429,9 +429,6 @@ type (
 	Cluster = cluster.Cluster
 	// ClusterMember couples one backend Client with its reporting name.
 	ClusterMember = cluster.Member
-	// ClusterConfig tunes health probing (interval, timeout, ejection
-	// backoff); the zero value uses the defaults.
-	ClusterConfig = cluster.Config
 	// ClusterStats is the fleet snapshot Cluster.Snapshot returns:
 	// per-member health, served/shed/failed traffic and ejections, plus
 	// cluster-level retry and failover counters.
@@ -460,13 +457,6 @@ func WithEjectionBackoff(base, max time.Duration) ClusterOption {
 // options tail.
 func NewCluster(members []ClusterMember, opts ...ClusterOption) (*Cluster, error) {
 	return cluster.NewWithOptions(members, opts...)
-}
-
-// NewClusterWithConfig is the config-struct spelling of NewCluster,
-// kept for callers that already hold a ClusterConfig (e.g. one resolved
-// from a fleet file).
-func NewClusterWithConfig(cfg ClusterConfig, members ...ClusterMember) (*Cluster, error) {
-	return cluster.New(cfg, members...)
 }
 
 // Declarative fleet configuration (see internal/serve/fleetcfg and

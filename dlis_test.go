@@ -477,10 +477,10 @@ func TestClusterPublicAPI(t *testing.T) {
 		}
 		return srv
 	}
-	cl, err := NewClusterWithConfig(ClusterConfig{ProbeInterval: 50 * time.Millisecond},
-		ClusterMember{Name: "a", Client: NewLocalClient(newServer())},
-		ClusterMember{Name: "b", Client: NewLocalClient(newServer())},
-	)
+	cl, err := NewCluster([]ClusterMember{
+		{Name: "a", Client: NewLocalClient(newServer())},
+		{Name: "b", Client: NewLocalClient(newServer())},
+	}, WithProbeInterval(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,9 +488,7 @@ func TestClusterPublicAPI(t *testing.T) {
 
 	ctx := context.Background()
 
-	// The redesigned constructor: a member slice plus functional
-	// options, with NewClusterWithConfig (above) kept as the legacy
-	// config-struct wrapper.
+	// The constructor: a member slice plus functional options.
 	cl2, err := NewCluster([]ClusterMember{{Name: "c", Client: NewLocalClient(newServer())}},
 		WithProbeInterval(50*time.Millisecond))
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // usageFileVersion tags the on-disk schema; bump it when Usage changes
@@ -20,16 +22,18 @@ type usageFile struct {
 	Tenants map[string]Usage `json:"tenants"`
 }
 
-// readUsageFile parses path. ok is false — and the usage empty — for
-// any defect: missing file, unreadable file, corrupt JSON, or a
-// version this build does not speak. A broken usage file must never
-// stop a server from booting.
+// readUsageFile parses path; an unreadable file decodes as nil.
 func readUsageFile(path string) (usageFile, bool) {
+	b, _ := os.ReadFile(path)
+	return decodeUsage(b)
+}
+
+// decodeUsage parses usage-file contents. ok is false — and the usage
+// empty — for any defect: no file (nil), corrupt JSON, or a version
+// this build does not speak. A broken usage file must never stop a
+// server from booting.
+func decodeUsage(b []byte) (usageFile, bool) {
 	var f usageFile
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return f, false
-	}
 	if json.Unmarshal(b, &f) != nil || f.Version != usageFileVersion || f.Tenants == nil {
 		return usageFile{}, false
 	}
@@ -64,17 +68,32 @@ func (m *Meter) restore() {
 	m.mu.Unlock()
 }
 
-// Save persists current usage if anything changed since the last save.
-// It re-reads the file first and merges: tenants this meter knows win
+// Save persists current usage through durable.Update if anything
+// changed since the last save, and reports whether it wrote. Under the
+// update's lock it merges with the file: tenants this meter knows win
 // (our counters already include the restored baseline), tenants only
-// on disk are kept. The write is temp-file + atomic rename, so readers
-// and crashed writers never observe a torn file. Returns whether a
-// write happened.
+// on disk are kept. A failed save leaves the meter dirty, so the next
+// Save retries even if no new traffic arrives.
 func (m *Meter) Save() (bool, error) {
 	if m.file == "" || !m.dirty.Swap(false) {
 		return false, nil
 	}
-	merged, ok := readUsageFile(m.file)
+	err := os.MkdirAll(filepath.Dir(m.file), 0o755)
+	if err == nil {
+		err = durable.Update(m.file, m.merge)
+	}
+	if err != nil {
+		m.dirty.Store(true)
+		return false, fmt.Errorf("tenant: saving usage file: %w", err)
+	}
+	return true, nil
+}
+
+// merge is Save's update callback: the on-disk usage overlaid with this
+// meter's non-zero counters. m.mu is held only for the snapshot, never
+// across the file I/O around it, so admission never waits on an fsync.
+func (m *Meter) merge(old []byte) ([]byte, error) {
+	merged, ok := decodeUsage(old)
 	if !ok {
 		merged = usageFile{Tenants: make(map[string]Usage)}
 	}
@@ -89,34 +108,8 @@ func (m *Meter) Save() (bool, error) {
 		merged.Tenants[id] = s
 	}
 	m.mu.RUnlock()
-
 	b, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return false, fmt.Errorf("tenant: encoding usage file: %w", err)
-	}
-	if dir := filepath.Dir(m.file); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return false, fmt.Errorf("tenant: creating usage dir: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(m.file), filepath.Base(m.file)+".tmp*")
-	if err != nil {
-		return false, fmt.Errorf("tenant: creating usage temp file: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: writing usage file: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: closing usage temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), m.file); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: installing usage file: %w", err)
-	}
-	return true, nil
+	return append(b, '\n'), err
 }
 
 // saveLoop is the background autosaver: one Save per interval while

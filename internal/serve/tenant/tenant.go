@@ -34,11 +34,12 @@
 // quota rejection on another cluster member is a correctness bug).
 //
 // Persistence follows the tuner-cache contract (internal/blas): a
-// versioned JSON usage file written merge-then-atomic-rename, where a
-// missing, corrupt or foreign-versioned file degrades to empty usage
-// and never to an error. Unlike the tuner cache there is no host
-// provenance: usage is a statement about tenants, not machines, so a
-// usage file follows its tenants across hosts.
+// versioned JSON usage file written as a locked merge
+// (durable.Update), where a missing, corrupt or foreign-versioned file
+// degrades to empty usage and never to an error. Unlike the tuner
+// cache there is no host provenance: usage is a statement about
+// tenants, not machines, so a usage file follows its tenants across
+// hosts.
 package tenant
 
 import (
@@ -102,7 +103,7 @@ type Config struct {
 	// saver (Save/Close still persist on demand).
 	SnapshotInterval time.Duration
 	// UsageFile persists cumulative per-tenant usage across restarts
-	// (versioned JSON, merge-then-atomic-rename); empty disables
+	// (versioned JSON, locked merge via durable.Update); empty disables
 	// persistence.
 	UsageFile string
 	// Tenants maps tenant IDs to their specs. Unlisted tenants are

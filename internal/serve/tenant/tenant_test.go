@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -298,5 +299,68 @@ func TestRecordPathsAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state metering allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestUsageConcurrentSaveMerges runs two meters over one ledger, each
+// metering a disjoint tenant, and saves them at once: the file must
+// hold the union, because each save merges under the file's lock.
+func TestUsageConcurrentSaveMerges(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "usage.json")
+	var meters []*Meter
+	for _, id := range []string{"alice", "bob"} {
+		m, err := NewMeter(Config{UsageFile: file, SnapshotInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		m.RecordAdmitted(id, 1)
+		meters = append(meters, m)
+	}
+	var wg sync.WaitGroup
+	for _, m := range meters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := m.Save(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	f, ok := readUsageFile(file)
+	if !ok {
+		t.Fatal("saved file unreadable")
+	}
+	if f.Tenants["alice"].Requests != 1 || f.Tenants["bob"].Requests != 1 {
+		t.Fatalf("concurrent saves lost a tenant: %+v", f.Tenants)
+	}
+}
+
+// TestFailedSaveStaysDirty blocks the usage path with a non-empty
+// directory so the save cannot install the file, then clears it: the
+// next Save must write the earlier traffic without any new traffic.
+func TestFailedSaveStaysDirty(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "usage.json")
+	if err := os.MkdirAll(filepath.Join(file, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMeter(Config{UsageFile: file, SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.RecordAdmitted("t", 1)
+	if wrote, err := m.Save(); err == nil || wrote {
+		t.Fatalf("save over a directory wrote=%v err=%v, want an error", wrote, err)
+	}
+	if err := os.RemoveAll(file); err != nil {
+		t.Fatal(err)
+	}
+	if wrote, err := m.Save(); err != nil || !wrote {
+		t.Fatalf("retry after a failed save wrote=%v err=%v, want write", wrote, err)
+	}
+	if f, ok := readUsageFile(file); !ok || f.Tenants["t"].Requests != 1 {
+		t.Fatalf("retried save = %+v ok=%v", f, ok)
 	}
 }
